@@ -31,6 +31,7 @@ using emp::AreaSet;
 using emp::ArticulationCache;
 using emp::BoundConstraints;
 using emp::CandidateMove;
+using emp::CandidateVerdict;
 using emp::ConnectivityChecker;
 using emp::Constraint;
 using emp::ContiguityGraph;
@@ -209,13 +210,15 @@ void RunSpeedupTable() {
         // First admissible candidate that is not an immediate ping-pong.
         std::vector<CandidateMove> pick;
         incremental.VisitInOrder([&](const CandidateMove& mv) {
-          if (mv.area == last_area) return true;
+          // The ping-pong filter changes with time, so that candidate is
+          // kept; an invalid one is retired until its regions change.
+          if (mv.area == last_area) return CandidateVerdict::kKeep;
           if (!ConstraintPreservingMove(inst.partition, &inst.connectivity,
                                         mv.area, mv.from, mv.to)) {
-            return true;
+            return CandidateVerdict::kRetire;
           }
           pick.push_back(mv);
-          return false;
+          return CandidateVerdict::kStop;
         });
         if (pick.empty()) break;
         const CandidateMove mv = pick.front();

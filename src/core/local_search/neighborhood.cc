@@ -180,8 +180,9 @@ void TabuNeighborhood::CompactHeap() {
       heap_.size() <= 2 * static_cast<size_t>(live_)) {
     return;
   }
-  // Every live (area, to) pair sits in the heap exactly once, so dropping
-  // the stale entries in place is a full compaction.
+  // Every resident (area, to) pair sits in the heap exactly once and a
+  // retired one not at all, so dropping the stale entries in place is a
+  // full compaction that keeps retired candidates retired.
   heap_.erase(std::remove_if(
                   heap_.begin(), heap_.end(),
                   [this](const HeapEntry& e) { return !EntryLive(e); }),

@@ -33,6 +33,22 @@ inline bool CandidateOrderLess(const CandidateMove& a,
   return a.to < b.to;
 }
 
+/// A VisitInOrder visitor's verdict on one candidate.
+enum class CandidateVerdict {
+  /// Stop visiting; the candidate stays in the heap.
+  kStop,
+  /// Decline the candidate and continue; it stays in the heap, so it is
+  /// visited again next time (use for time-dependent rejections such as
+  /// tabu status).
+  kKeep,
+  /// Decline the candidate and continue; it leaves the heap until its area
+  /// is re-scored. Use only for verdicts that depend on nothing but the
+  /// area and the states of its donor and receiver regions: OnMoveApplied
+  /// re-scores every area with a candidate whose endpoint region mutated,
+  /// which pushes a fresh entry and so re-admits the candidate.
+  kRetire,
+};
+
 /// Incremental candidate-move set for Tabu search (DESIGN.md §8).
 ///
 /// Maintains, for every assigned area of a donor-capable region (size > 1),
@@ -44,7 +60,9 @@ inline bool CandidateOrderLess(const CandidateMove& a,
 ///
 /// Selection runs over a lazy-deletion min-heap keyed by the canonical
 /// (delta, area, to) order; re-scoring an area bumps its version, which
-/// invalidates its stale heap entries without searching for them.
+/// invalidates its stale heap entries without searching for them. A live
+/// candidate is either resident in the heap (exactly once) or retired by
+/// a visitor; retired candidates return when their area is re-scored.
 ///
 /// Invariants (pinned by neighborhood_test and the golden trajectory test):
 ///  * after any sequence of OnMoveApplied calls, the live candidate set
@@ -52,7 +70,8 @@ inline bool CandidateOrderLess(const CandidateMove& a,
 ///    bit-for-bit (unaffected candidates keep previously computed deltas,
 ///    which are exact because their two regions' member multisets did not
 ///    change);
-///  * VisitInOrder always yields candidates in canonical order.
+///  * VisitInOrder always yields the resident candidates in canonical
+///    order.
 class TabuNeighborhood {
  public:
   /// `partition` and `objective` must outlive the neighborhood; the
@@ -68,15 +87,16 @@ class TabuNeighborhood {
   /// returns the number of candidates scored.
   int64_t OnMoveApplied(int32_t area, int32_t from, int32_t to);
 
-  /// Number of live candidate moves.
+  /// Number of live candidate moves, resident or retired.
   int64_t live_candidates() const { return live_; }
   bool empty() const { return live_ == 0; }
 
-  /// Visits live candidates in canonical order until `visit` returns false
-  /// (or the set is exhausted). Visited-but-declined candidates stay in
-  /// the structure. `visit` must not mutate the partition or objective;
-  /// apply the chosen move after VisitInOrder returns, then call
-  /// OnMoveApplied.
+  /// Visits resident candidates in canonical order until `visit` returns
+  /// CandidateVerdict::kStop (or the heap is exhausted). kKeep and kStop
+  /// candidates stay resident; kRetire candidates leave the heap until
+  /// their area is re-scored (see CandidateVerdict). `visit` must not
+  /// mutate the partition or objective; apply the chosen move after
+  /// VisitInOrder returns, then call OnMoveApplied.
   template <typename Visitor>
   void VisitInOrder(Visitor&& visit) {
     popped_.clear();
@@ -85,15 +105,14 @@ class TabuNeighborhood {
       HeapEntry e = heap_.back();
       heap_.pop_back();
       if (!EntryLive(e)) continue;
-      popped_.push_back(e);
       CandidateMove mv{e.delta, e.area, partition_->RegionOf(e.area), e.to};
-      if (!visit(static_cast<const CandidateMove&>(mv))) break;
+      const CandidateVerdict verdict =
+          visit(static_cast<const CandidateMove&>(mv));
+      if (verdict == CandidateVerdict::kRetire) continue;
+      popped_.push_back(e);
+      if (verdict == CandidateVerdict::kStop) break;
     }
-    // Put the visited survivors back; entries invalidated meanwhile (none
-    // today — visitors cannot mutate) would be dropped here.
-    for (const HeapEntry& e : popped_) {
-      if (EntryLive(e)) PushEntry(e);
-    }
+    for (const HeapEntry& e : popped_) PushEntry(e);
   }
 
  private:

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <memory>
-#include <vector>
 
 #include "common/rng.h"
 #include "core/local_search/assignment_snapshot.h"
@@ -84,7 +83,7 @@ Result<AnnealResult> SimulatedAnnealing(const AnnealOptions& options,
 
   double best_total = objective->total();
   double current_total = best_total;
-  std::vector<int32_t> best_assignment = SnapshotAssignment(*partition);
+  BestAssignmentTracker best_assignment(*partition);
 
   for (int64_t it = 0; it < iterations; ++it) {
     if (supervisor != nullptr && supervisor->Check()) break;
@@ -111,16 +110,17 @@ Result<AnnealResult> SimulatedAnnealing(const AnnealOptions& options,
     }
     objective->ApplyMove(area, from, to);
     partition->Move(area, to);
+    best_assignment.OnMoved(area);
     current_total += delta;
     ++result.accepted;
     if (current_total < best_total - 1e-9) {
       best_total = current_total;
-      best_assignment = SnapshotAssignment(*partition);
+      best_assignment.Commit(*partition);
       ++result.improving;
     }
   }
 
-  RestoreAssignment(best_assignment, partition);
+  best_assignment.Restore(partition);
   result.final_objective = best_total;
   if (supervisor != nullptr && supervisor->tripped().has_value()) {
     result.termination = *supervisor->tripped();

@@ -54,16 +54,14 @@ Result<TabuResult> TabuSearch(const SolverOptions& options,
   const bool incremental = options.tabu_engine == TabuEngine::kIncremental;
 
   double best_total = tracker.total();
-  std::vector<int32_t> best_assignment = SnapshotAssignment(*partition);
+  BestAssignmentTracker best_assignment(*partition);
 
   std::deque<uint64_t> tabu_order;
   // Value = number of times the key is currently in the queue (a key can
-  // re-enter before expiring).
+  // re-enter before expiring). A key is erased when its count drops to 0,
+  // so the map holds at most `tabu_tenure` keys.
   std::unordered_map<uint64_t, int> tabu_set;
-  auto is_tabu = [&](uint64_t key) {
-    auto it = tabu_set.find(key);
-    return it != tabu_set.end() && it->second > 0;
-  };
+  auto is_tabu = [&](uint64_t key) { return tabu_set.contains(key); };
 
   int64_t no_improve = 0;
 
@@ -77,7 +75,8 @@ Result<TabuResult> TabuSearch(const SolverOptions& options,
   obs::ProgressBoard* board =
       run_ctx != nullptr ? run_ctx->progress_board : nullptr;
   int64_t tabu_rejected = 0;
-  int64_t invalid_rejected = 0;
+  int64_t constraint_rejected = 0;
+  int64_t contiguity_rejected = 0;
   constexpr int64_t kEpochIterations = 256;
   std::optional<obs::ScopedSpan> epoch_span;
   Stopwatch search_timer;
@@ -123,18 +122,23 @@ Result<TabuResult> TabuSearch(const SolverOptions& options,
     // Take the best admissible candidate in canonical (delta, area, to)
     // order: non-tabu, or tabu but beating the incumbent (aspiration).
     // Validity (constraints + contiguity) is checked lazily in that order
-    // because it is the expensive part.
+    // because it is the expensive part. An invalid candidate is retired:
+    // its validity depends only on its area and its two endpoint regions,
+    // and OnMoveApplied re-scores (and so re-admits) it as soon as either
+    // region mutates. Tabu status changes with time, so a tabu-rejected
+    // candidate is kept. kFullRebuild rebuilds the heap every iteration,
+    // so nothing stays retired there.
     std::optional<CandidateMove> chosen;
     neighborhood.VisitInOrder([&](const CandidateMove& mv) {
       ++result.moves_tried;
       const bool improves_best = tracker.total() + mv.delta < best_total - 1e-9;
       if (is_tabu(TabuKey(mv.area, mv.to)) && !improves_best) {
         ++tabu_rejected;
-        return true;
+        return CandidateVerdict::kKeep;
       }
       if (!MoveSatisfiesConstraints(*partition, mv.area, mv.from, mv.to)) {
-        ++invalid_rejected;
-        return true;
+        ++constraint_rejected;
+        return CandidateVerdict::kRetire;
       }
       bool donor_ok;
       if (incremental) {
@@ -147,7 +151,7 @@ Result<TabuResult> TabuSearch(const SolverOptions& options,
                 "articulation cache disagrees with BFS for area " +
                 std::to_string(mv.area) + " leaving region " +
                 std::to_string(mv.from));
-            return false;
+            return CandidateVerdict::kStop;
           }
         }
       } else {
@@ -155,11 +159,11 @@ Result<TabuResult> TabuSearch(const SolverOptions& options,
             partition->region(mv.from).areas, mv.area);
       }
       if (!donor_ok) {
-        ++invalid_rejected;
-        return true;
+        ++contiguity_rejected;
+        return CandidateVerdict::kRetire;
       }
       chosen = mv;
-      return false;
+      return CandidateVerdict::kStop;
     });
     if (!verify_failure.ok()) return verify_failure;
     if (!chosen.has_value()) break;  // No admissible move in the whole
@@ -169,6 +173,7 @@ Result<TabuResult> TabuSearch(const SolverOptions& options,
     const CandidateMove mv = *chosen;
     tracker.ApplyMove(mv.area, mv.from, mv.to);
     partition->Move(mv.area, mv.to);
+    best_assignment.OnMoved(mv.area);
     cut_cache.Invalidate(mv.from);
     cut_cache.Invalidate(mv.to);
     if (incremental) {
@@ -183,12 +188,13 @@ Result<TabuResult> TabuSearch(const SolverOptions& options,
     tabu_order.push_back(reverse);
     ++tabu_set[reverse];
     while (static_cast<int>(tabu_order.size()) > options.tabu_tenure) {
-      --tabu_set[tabu_order.front()];
+      auto expired = tabu_set.find(tabu_order.front());
+      if (--expired->second == 0) tabu_set.erase(expired);
       tabu_order.pop_front();
     }
     if (tracker.total() < best_total - 1e-9) {
       best_total = tracker.total();
-      best_assignment = SnapshotAssignment(*partition);
+      best_assignment.Commit(*partition);
       ++result.improving_moves;
       no_improve = 0;
       if (trace != nullptr) {
@@ -204,7 +210,7 @@ Result<TabuResult> TabuSearch(const SolverOptions& options,
   }
 
   epoch_span.reset();
-  RestoreAssignment(best_assignment, partition);
+  best_assignment.Restore(partition);
   result.final_heterogeneity = best_total;
   result.cut_cache_hits = cut_cache.hits();
   result.cut_cache_misses = cut_cache.misses();
@@ -221,7 +227,12 @@ Result<TabuResult> TabuSearch(const SolverOptions& options,
         ->Add(result.moves_applied);
     metrics->GetCounter("emp_tabu_moves_tabu_rejected_total")
         ->Add(tabu_rejected);
-    metrics->GetCounter("emp_tabu_moves_invalid_total")->Add(invalid_rejected);
+    metrics->GetCounter("emp_tabu_moves_invalid_total")
+        ->Add(constraint_rejected + contiguity_rejected);
+    metrics->GetCounter("emp_tabu_moves_invalid_constraints_total")
+        ->Add(constraint_rejected);
+    metrics->GetCounter("emp_tabu_moves_invalid_contiguity_total")
+        ->Add(contiguity_rejected);
     metrics->GetCounter("emp_tabu_improving_moves_total")
         ->Add(result.improving_moves);
     metrics->GetCounter("emp_tabu_candidates_rescored_total")

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
@@ -27,14 +28,20 @@ struct NeighborhoodSetup {
   ConnectivityChecker connectivity;
 };
 
-/// Drains a neighborhood in canonical order into a vector.
+/// Lists a neighborhood's resident candidates in canonical order, keeping
+/// every one of them.
 std::vector<CandidateMove> Dump(TabuNeighborhood* nbhd) {
   std::vector<CandidateMove> out;
   nbhd->VisitInOrder([&](const CandidateMove& mv) {
     out.push_back(mv);
-    return true;
+    return CandidateVerdict::kKeep;
   });
   return out;
+}
+
+bool SameMove(const CandidateMove& a, const CandidateMove& b) {
+  return a.area == b.area && a.from == b.from && a.to == b.to &&
+         a.delta == b.delta;
 }
 
 /// Candidate sets must agree exactly: same moves in the same canonical
@@ -100,7 +107,10 @@ TEST(TabuNeighborhoodTest, VisitingDoesNotConsumeCandidates) {
 
   // An early-stopping visit also leaves the structure intact.
   int visited = 0;
-  nbhd.VisitInOrder([&](const CandidateMove&) { return ++visited < 1; });
+  nbhd.VisitInOrder([&](const CandidateMove&) {
+    ++visited;
+    return CandidateVerdict::kStop;
+  });
   EXPECT_EQ(visited, 1);
   ExpectSameCandidates(Dump(&nbhd), first);
 }
@@ -184,6 +194,123 @@ TEST(TabuNeighborhoodTest, DonorCapabilityTransitions) {
     if (mv.area == 0) area0_present = true;
   }
   EXPECT_TRUE(area0_present);
+}
+
+TEST(TabuNeighborhoodTest, RetiredCandidatesStayOutUntilRescored) {
+  AreaSet areas = test::PathAreaSet({1, 1, 1, 9, 9, 9});
+  NeighborhoodSetup setup(&areas, {Constraint::Count(1, 6)});
+  int32_t r0 = setup.partition.CreateRegion();
+  int32_t r1 = setup.partition.CreateRegion();
+  for (int32_t a : {0, 1, 2}) setup.partition.Assign(a, r0);
+  for (int32_t a : {3, 4, 5}) setup.partition.Assign(a, r1);
+
+  HeterogeneityObjective objective(setup.partition);
+  TabuNeighborhood nbhd(&setup.partition, &objective);
+  nbhd.Rebuild();
+  const std::vector<CandidateMove> all = Dump(&nbhd);
+  ASSERT_EQ(all.size(), 2u);  // area 2 -> r1 and area 3 -> r0
+
+  // Retiring the first candidate removes it from later visits but not from
+  // the live set.
+  nbhd.VisitInOrder([&](const CandidateMove&) {
+    return CandidateVerdict::kRetire;
+  });
+  EXPECT_TRUE(Dump(&nbhd).empty());
+  EXPECT_EQ(nbhd.live_candidates(), 2);
+
+  // A move between the two regions re-scores both frontier areas, which
+  // re-admits every candidate the move could have made valid again.
+  objective.ApplyMove(2, r0, r1);
+  setup.partition.Move(2, r1);
+  nbhd.OnMoveApplied(2, r0, r1);
+  TabuNeighborhood fresh(&setup.partition, &objective);
+  fresh.Rebuild();
+  ExpectSameCandidates(Dump(&nbhd), Dump(&fresh));
+}
+
+TEST(TabuNeighborhoodTest, RetiringVisitFindsTheCanonicalFirstAdmissible) {
+  // Random admissible walks on a SUM-constrained grid. At every step the
+  // retiring visit (invalid -> kRetire, pseudo-tabu -> kKeep) must select
+  // exactly the canonical minimum among the admissible, non-tabu moves of a
+  // brute-force scan over a fresh rebuild, which retires nothing.
+  std::vector<double> values;
+  for (int32_t a = 0; a < 64; ++a) {
+    values.push_back(static_cast<double>(1 + (a * 37) % 11));
+  }
+  AreaSet areas = test::MakeAreaSet(test::GridGraph(8, 8), {{"s", values}});
+  NeighborhoodSetup setup(&areas,
+                          {Constraint::Sum("s", 75, kNoUpperBound)});
+  std::vector<int32_t> rids;
+  for (int32_t i = 0; i < 4; ++i) {
+    rids.push_back(setup.partition.CreateRegion());
+  }
+  for (int32_t a = 0; a < 64; ++a) {
+    const int32_t row = a / 8;
+    const int32_t col = a % 8;
+    setup.partition.Assign(a, rids[static_cast<size_t>((row / 4) * 2 +
+                                                        col / 4)]);
+  }
+  for (int32_t rid : rids) {
+    ASSERT_TRUE(setup.partition.region(rid).stats.SatisfiesAll());
+  }
+
+  HeterogeneityObjective objective(setup.partition);
+  TabuNeighborhood nbhd(&setup.partition, &objective);
+  nbhd.Rebuild();
+  Rng rng(2024);
+  int64_t retiring_tried = 0;
+  int64_t brute_tried = 0;
+  int applied = 0;
+  for (int step = 0; step < 120; ++step) {
+    // A few areas are pseudo-tabu this step; kKeep must re-check them.
+    std::vector<bool> tabu(64, false);
+    for (int k = 0; k < 3; ++k) {
+      tabu[static_cast<size_t>(rng.UniformInt(0, 63))] = true;
+    }
+    auto admissible = [&](const CandidateMove& mv) {
+      return ConstraintPreservingMove(setup.partition, &setup.connectivity,
+                                      mv.area, mv.from, mv.to);
+    };
+
+    std::optional<CandidateMove> picked;
+    nbhd.VisitInOrder([&](const CandidateMove& mv) {
+      ++retiring_tried;
+      if (tabu[static_cast<size_t>(mv.area)]) return CandidateVerdict::kKeep;
+      if (!admissible(mv)) return CandidateVerdict::kRetire;
+      picked = mv;
+      return CandidateVerdict::kStop;
+    });
+
+    TabuNeighborhood fresh(&setup.partition, &objective);
+    fresh.Rebuild();
+    // The unretired scan tries candidates up to the first admissible,
+    // non-tabu one; it also collects every admissible move for the walk.
+    std::vector<CandidateMove> valid;
+    std::optional<CandidateMove> expected;
+    for (const CandidateMove& mv : Dump(&fresh)) {
+      const bool ok = admissible(mv);
+      if (ok) valid.push_back(mv);
+      if (expected.has_value()) continue;
+      ++brute_tried;
+      if (ok && !tabu[static_cast<size_t>(mv.area)]) expected = mv;
+    }
+    ASSERT_EQ(picked.has_value(), expected.has_value()) << "step " << step;
+    if (!picked.has_value()) break;
+    EXPECT_TRUE(SameMove(*picked, *expected))
+        << "step " << step << ": area " << picked->area << " vs "
+        << expected->area;
+
+    // Walk on with a random admissible move, not always the first one.
+    const CandidateMove mv = valid[static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(valid.size()) - 1))];
+    objective.ApplyMove(mv.area, mv.from, mv.to);
+    setup.partition.Move(mv.area, mv.to);
+    nbhd.OnMoveApplied(mv.area, mv.from, mv.to);
+    ++applied;
+  }
+  EXPECT_GE(applied, 60);
+  // Retirement must actually have skipped work for the check to mean much.
+  EXPECT_LT(retiring_tried, brute_tried);
 }
 
 TEST(ArticulationCacheTest, AgreesWithBfsOnEveryQuery) {

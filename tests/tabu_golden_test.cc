@@ -62,7 +62,10 @@ void ExpectIdenticalTrajectories(const TabuResult& full,
                                  const TabuResult& incremental) {
   EXPECT_EQ(incremental.iterations, full.iterations);
   EXPECT_EQ(incremental.moves_applied, full.moves_applied);
-  EXPECT_EQ(incremental.moves_tried, full.moves_tried);
+  // The incremental engine retires invalid candidates until one of their
+  // regions changes, so it never tries more than the full engine, which
+  // re-tries everything each iteration. The moves themselves must agree.
+  EXPECT_LE(incremental.moves_tried, full.moves_tried);
   EXPECT_EQ(incremental.improving_moves, full.improving_moves);
   // Bit-identical objective, not NEAR: both engines apply the same deltas
   // in the same order to the same incremental totals.
@@ -130,8 +133,9 @@ TEST(TabuGoldenTest, TieHeavyGridTrajectoriesIdentical) {
 }
 
 TEST(TabuGoldenTest, SumConstrainedThreeRegionTrajectoriesIdentical) {
-  // A binding SUM constraint makes many candidates inadmissible, so both
-  // engines must also agree on which candidates they tried and rejected.
+  // A binding SUM constraint makes many candidates inadmissible; the
+  // incremental engine skips the ones retired as invalid while the full
+  // engine re-checks them, and both must still pick the same moves.
   AreaSet areas = test::MakeAreaSet(
       test::GridGraph(6, 6),
       {{"s", {4, 9, 1, 7, 2, 8, 5, 3, 9, 1, 6, 4, 7, 3, 8, 2, 5, 9,
@@ -146,6 +150,54 @@ TEST(TabuGoldenTest, SumConstrainedThreeRegionTrajectoriesIdentical) {
                 TabuEngine::kIncremental);
   EXPECT_GT(full.moves_applied, 0);
   ExpectIdenticalTrajectories(full, incremental);
+}
+
+TEST(TabuGoldenTest, MixedMinAvgSumTrajectoriesIdentical) {
+  // One constraint per evaluation family (MIN upper, AVG range, SUM lower)
+  // rejects candidates for different reasons. Candidates retired as
+  // invalid must come back exactly when one of their regions changes, or
+  // the incremental engine would miss a move the full engine takes.
+  AreaSet areas = test::MakeAreaSet(
+      test::GridGraph(6, 6),
+      {{"s", {4, 9, 1, 7, 2, 8, 5, 3, 9, 1, 6, 4, 7, 3, 8, 2, 5, 9,
+              1, 6, 4, 7, 2, 8, 3, 5, 9, 1, 6, 4, 2, 7, 8, 3, 5, 9}},
+       {"m", {6, 2, 8, 5, 9, 3, 7, 4, 6, 8, 2, 9, 5, 7, 3, 6, 8, 4,
+              9, 5, 7, 2, 6, 8, 4, 9, 3, 7, 5, 6, 8, 3, 6, 9, 4, 7}}});
+  std::vector<std::pair<int32_t, int32_t>> seed;
+  for (int32_t a = 0; a < 36; ++a) {
+    seed.push_back({a, (a / 18) * 2 + (a % 6) / 3});
+  }
+  const std::vector<Constraint> cs = {
+      Constraint::Min("m", kNoLowerBound, 3),
+      Constraint::Avg("s", 3.5, 6.5),
+      Constraint::Sum("s", 35, kNoUpperBound)};
+  TabuResult full = RunEngine(areas, cs, seed, 4, TabuEngine::kFullRebuild);
+  TabuResult incremental =
+      RunEngine(areas, cs, seed, 4, TabuEngine::kIncremental);
+  EXPECT_GT(full.moves_applied, 0);
+  ExpectIdenticalTrajectories(full, incremental);
+  EXPECT_LT(incremental.moves_tried, full.moves_tried);
+}
+
+TEST(TabuGoldenTest, CountUpperBoundTrajectoriesIdentical) {
+  // A COUNT upper bound makes every move into a full region invalid until
+  // that region donates an area, which re-admits the retired candidates.
+  std::vector<double> values;
+  for (int32_t a = 0; a < 36; ++a) {
+    values.push_back(static_cast<double>((a * 7) % 10));
+  }
+  AreaSet areas = test::MakeAreaSet(test::GridGraph(6, 6), {{"s", values}});
+  std::vector<std::pair<int32_t, int32_t>> seed;
+  for (int32_t a = 0; a < 36; ++a) {
+    seed.push_back({a, (a / 18) * 2 + (a % 6) / 3});
+  }
+  const std::vector<Constraint> cs = {Constraint::Count(1, 10)};
+  TabuResult full = RunEngine(areas, cs, seed, 4, TabuEngine::kFullRebuild);
+  TabuResult incremental =
+      RunEngine(areas, cs, seed, 4, TabuEngine::kIncremental);
+  EXPECT_GT(full.moves_applied, 0);
+  ExpectIdenticalTrajectories(full, incremental);
+  EXPECT_LT(incremental.moves_tried, full.moves_tried);
 }
 
 TEST(TabuGoldenTest, IncrementalEngineIsTheDefault) {
